@@ -4,16 +4,16 @@ The paper-scale correlation stage — 61 stocks, all 1830 pairs, the full
 42-set Table-I grid over 20 days — reduces to 9 distinct (window M,
 treatment) specs per day (every parameter set sharing an (M, Ctype) shares
 its correlation series, which is exactly what ``share_correlation`` and the
-batch backend exploit).  This benchmark feeds a store-ingested day through
+batch kernel exploit).  This benchmark feeds a store-ingested day through
 the zero-copy memmap reader and times three implementations of that stage:
 
 * ``scalar``  — the fully scalar oracle: one rolling-moment pass per pair
   (Pearson) and one fixed-point iteration per *window* (robust measures),
   i.e. the per-pair while-loops the batch kernels replace;
-* ``perpair`` — the engines' historical path (`corr_series` once per pair,
-  windows batched within the pair);
-* ``batch``   — the all-pairs kernels of :mod:`repro.corr.batch` behind
-  ``backend="batch"``.
+* ``perpair`` — ``corr_series`` once per pair (windows batched within the
+  pair), the engines' path before the all-pairs kernel;
+* ``batch``   — the all-pairs kernel of :mod:`repro.corr.batch`, the one
+  path every engine runs.
 
 The batch path is measured in full (all 1830 pairs, all 9 specs).  The
 scalar and (for the robust specs) perpair baselines are measured on
@@ -35,14 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.backtest.data import BarProvider
-from repro.corr.batch import (
-    BatchWorkspace,
-    all_pairs,
-    batch_pair_series,
-    reference_pair_series,
-    scalar_pair_series,
-)
-from repro.corr.measures import CorrelationType
+from repro.corr.batch import all_pairs, batch_pair_series, reference_pair_series
+from repro.corr.measures import CorrelationType, corr_series
 from repro.strategy.params import paper_parameter_grid
 from repro.taq.synthetic import SyntheticMarket, SyntheticMarketConfig
 from repro.taq.universe import default_universe
@@ -78,6 +72,13 @@ def _store_fed_returns(tmp_path):
     return BarProvider(source, grid).returns(0)
 
 
+def _perpair_series(returns, m, ctype, pairs):
+    """``corr_series`` once per pair, stacked into ``(n_win, n_pairs)``."""
+    return np.column_stack(
+        [corr_series(returns[:, i], returns[:, j], m, ctype) for i, j in pairs]
+    )
+
+
 def _specs():
     grid = paper_parameter_grid()
     specs = sorted(
@@ -91,23 +92,20 @@ def test_corr_batch_paper_scale(tmp_path):
     grid, specs = _specs()
     pairs = all_pairs(returns.shape[1])
     n_pairs = len(pairs)
-    ws = BatchWorkspace()
 
     rows = []
     for m, ctype in specs:
         robust = ctype is not CorrelationType.PEARSON
         # Full batch measurement (the claim under test).
         t0 = time.perf_counter()
-        batch = batch_pair_series(returns, m, ctype, pairs=pairs, workspace=ws)
+        batch = batch_pair_series(returns, m, ctype, pairs=pairs)
         batch_s = time.perf_counter() - t0
 
         # perpair: full for Pearson (cheap), extrapolated from a pair
         # subset for the robust specs.
         perpair_pairs = pairs if not robust else pairs[:PERPAIR_SAMPLE]
         t0 = time.perf_counter()
-        perpair = scalar_pair_series(
-            returns, m, ctype, pairs=perpair_pairs
-        )
+        perpair = _perpair_series(returns, m, ctype, perpair_pairs)
         perpair_s = (time.perf_counter() - t0) * (n_pairs / len(perpair_pairs))
         np.testing.assert_array_equal(
             batch[:, : len(perpair_pairs)], perpair,
@@ -210,8 +208,9 @@ def test_corr_batch_paper_scale(tmp_path):
 
 
 def run_smoke() -> None:
-    """Toy-scale bitwise gate for scripts/check.sh: batch == scalar ==
-    per-window reference on every treatment, to the last bit."""
+    """Toy-scale bitwise gate for scripts/check.sh: batch == per-pair
+    ``corr_series`` == per-window reference on every treatment, to the
+    last bit."""
     market = SyntheticMarket(
         default_universe(8),
         SyntheticMarketConfig(trading_seconds=3600, quote_rate=0.8),
@@ -220,22 +219,22 @@ def run_smoke() -> None:
     provider = BarProvider(market, TimeGrid(30, trading_seconds=3600))
     returns = provider.returns(0)
     m = 20
-    ws = BatchWorkspace()
+    pairs = all_pairs(returns.shape[1])
     for ctype in ("pearson", "maronna", "combined"):
-        batch = batch_pair_series(returns, m, ctype, workspace=ws)
-        scalar = scalar_pair_series(returns, m, ctype)
+        batch = batch_pair_series(returns, m, ctype)
         np.testing.assert_array_equal(
-            batch, scalar, err_msg=f"batch != scalar for {ctype}"
+            batch, _perpair_series(returns, m, ctype, pairs),
+            err_msg=f"batch != per-pair corr_series for {ctype}",
         )
-        sample = all_pairs(returns.shape[1])[:BITWISE_SAMPLE]
+        sample = pairs[:BITWISE_SAMPLE]
         ref = reference_pair_series(returns, m, ctype, pairs=sample)
         np.testing.assert_array_equal(
             batch[:, :BITWISE_SAMPLE], ref,
             err_msg=f"batch != per-window reference for {ctype}",
         )
-        print(f"  {ctype:<9} batch == scalar == reference "
+        print(f"  {ctype:<9} batch == per-pair == reference "
               f"({batch.shape[1]} pairs x {batch.shape[0]} windows)")
-    print("ok: batch backend is bitwise-identical at toy scale")
+    print("ok: batch kernel is bitwise-identical at toy scale")
 
 
 if __name__ == "__main__":

@@ -14,23 +14,18 @@ fashion, with a choice of measures:
   the paper uses but never defines "Combined" — see DESIGN.md).
 
 Supporting machinery: sliding-window series and full-matrix computation
-(:mod:`repro.corr.measures`), all-pairs batch kernels behind the
-``backend="scalar"|"batch"`` seam (:mod:`repro.corr.batch` — bitwise
-equal to the per-pair scalar oracle), an incremental online engine
+(:mod:`repro.corr.measures`), the all-pairs batch kernel every engine
+runs (:mod:`repro.corr.batch` — bitwise equal to ``corr_series`` on each
+pair and to the per-window reference loop), an incremental online engine
 (:mod:`repro.corr.online`), PSD repair for pairwise-assembled robust
 matrices (:mod:`repro.corr.psd`) and the block-parallel matrix engine that
 runs over the MPI substrate (:mod:`repro.corr.parallel`).
 """
 
 from repro.corr.batch import (
-    BACKENDS,
-    BatchWorkspace,
     all_pairs,
     batch_pair_series,
-    check_backend,
-    pair_series_matrix,
     reference_pair_series,
-    scalar_pair_series,
 )
 from repro.corr.clustering import (
     CandidatePair,
@@ -74,8 +69,6 @@ from repro.corr.pearson import (
 from repro.corr.psd import is_psd, nearest_psd_correlation
 
 __all__ = [
-    "BACKENDS",
-    "BatchWorkspace",
     "CandidatePair",
     "CorrelationType",
     "MarketMode",
@@ -85,10 +78,7 @@ __all__ = [
     "absorption_ratio",
     "all_pairs",
     "batch_pair_series",
-    "check_backend",
-    "pair_series_matrix",
     "reference_pair_series",
-    "scalar_pair_series",
     "combined_corr",
     "combined_corr_batched",
     "correlation_clusters",

@@ -1,10 +1,12 @@
-"""All-pairs batch correlation kernels behind the scalar/batch backend seam.
+"""All-pairs batch correlation: the one production path for pair series.
 
 The paper evaluates every pair of its 61-stock universe — N·(N−1)/2 = 1830
-rolling correlation series per (day, window, treatment) — and the engines
-historically looped over pairs in Python, calling
-:func:`repro.corr.measures.corr_series` once per pair.  This module computes
-the same ``(n_windows, n_pairs)`` matrix in a single batch evaluation:
+rolling correlation series per (day, window, treatment).  Calling
+:func:`repro.corr.measures.corr_series` once per pair loops in Python;
+this module computes the same ``(n_windows, n_pairs)`` matrix in a single
+batch evaluation, and every engine that needs many pairs' series at once
+(the shared-cache sequential backtester, the matrix-series backtester,
+the block-parallel engine behind Approach 3) runs it:
 
 * **Pearson** — per-symbol centred cumulative moments are computed once
   (O(T·n) instead of O(T·n²)), and only the pair cross-moments are formed
@@ -16,9 +18,9 @@ the same ``(n_windows, n_pairs)`` matrix in a single batch evaluation:
 
 Equivalence contract
 --------------------
-``batch`` results are **bitwise-identical** to the scalar per-pair path
-(:func:`scalar_pair_series`, which delegates to ``corr_series``) and to the
-per-window reference loop (:func:`reference_pair_series`):
+Column ``p`` of :func:`batch_pair_series` is **bitwise-identical** to
+``corr_series`` on pair ``p`` and to the per-window reference loop
+(:func:`reference_pair_series`):
 
 * the Pearson batch path reproduces :func:`repro.corr.pearson.pearson_series`
   expression-for-expression (per-column ``.mean()``, columnwise ``cumsum``
@@ -30,9 +32,9 @@ per-window reference loop (:func:`reference_pair_series`):
   :func:`repro.corr.maronna.maronna_corr_batched` and asserted by the
   property tests in ``tests/test_corr_batch.py`` and the bench smoke).
 
-The scalar path stays in the tree as the oracle: every engine accepts
-``backend="scalar"|"batch"`` (see :func:`pair_series_matrix`) and the test
-suite asserts equality to the last ulp on both MPI backends.
+``corr_series`` stays as the single-pair API (Approach 2's unshared
+per-cell path runs it), and :func:`reference_pair_series` stays as the
+per-window test and benchmark oracle.
 """
 
 from __future__ import annotations
@@ -42,16 +44,13 @@ import numpy as np
 from repro.bars.returns import sliding_windows
 from repro.corr.combined import combined_corr_batched
 from repro.corr.maronna import MaronnaConfig, maronna_corr_batched
-from repro.corr.measures import CorrelationType, corr_series
+from repro.corr.measures import CorrelationType
 from repro.corr.pearson import _corr_from_moments, pearson_series
 from repro.obs import NULL_METRIC, Obs
 from repro.util.validation import check_positive_int
 
-#: Valid values of the engine ``backend`` seam.
-BACKENDS = ("scalar", "batch")
-
-#: Cap on elements materialised per Pearson chunk — same budget as the
-#: scalar path's ``repro.corr.measures._CHUNK_ELEMENTS``.
+#: Cap on elements materialised per Pearson chunk — same budget as
+#: ``corr_series``'s ``repro.corr.measures._CHUNK_ELEMENTS``.
 _CHUNK_ELEMENTS = 2_000_000
 
 #: Cap on elements per robust-kernel batch.  The fixed-point iteration
@@ -61,52 +60,10 @@ _CHUNK_ELEMENTS = 2_000_000
 _ROBUST_CHUNK_ELEMENTS = 65_536
 
 
-def check_backend(backend: str) -> str:
-    """Validate a correlation ``backend`` name and return it.
-
-    Parameters
-    ----------
-    backend : str
-        One of :data:`BACKENDS` (``"scalar"`` or ``"batch"``).
-    """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
 def all_pairs(n: int) -> list[tuple[int, int]]:
     """The ``n·(n-1)/2`` ordered symbol pairs ``(i, j)`` with ``i < j``."""
     check_positive_int(n, "n")
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-class BatchWorkspace:
-    """Preallocated scratch buffers reused across batch kernel calls.
-
-    The batch kernels allocate working arrays proportional to the chunk
-    budget; an engine sweeping many (day, spec) cells passes one workspace
-    so those buffers are allocated once and stay cache-warm instead of
-    being re-malloc'd per call.  Buffers are keyed by role and reallocated
-    only when a call needs a different shape.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 buffer of exactly ``shape``."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = np.empty(shape)
-            self._buffers[name] = buf
-        return buf
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently held by the workspace."""
-        return sum(buf.nbytes for buf in self._buffers.values())
 
 
 def _validate(
@@ -135,25 +92,11 @@ def _validate(
     return returns, ctype, pairs, T - m + 1
 
 
-def _out_buffer(
-    out: np.ndarray | None, n_win: int, n_pairs: int
-) -> np.ndarray:
-    if out is None:
-        return np.empty((n_win, n_pairs))
-    if out.shape != (n_win, n_pairs) or out.dtype != np.float64:
-        raise ValueError(
-            f"out must be float64 of shape {(n_win, n_pairs)}, got "
-            f"{out.dtype} {out.shape}"
-        )
-    return out
-
-
 def _pearson_batch(
     returns: np.ndarray,
     m: int,
     pairs: list[tuple[int, int]],
     out: np.ndarray,
-    ws: BatchWorkspace,
 ) -> int:
     """All-pairs rolling Pearson into ``out``; returns the chunk count.
 
@@ -167,40 +110,35 @@ def _pearson_batch(
     idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
 
     # Per-symbol means via 1-D column reductions: ``x.mean()`` of a strided
-    # column and an axis-0 reduction can differ in the last ulp, and the
-    # scalar oracle uses the former — so the batch path must too (n calls,
-    # negligible cost).
+    # column and an axis-0 reduction can differ in the last ulp, and
+    # ``pearson_series`` uses the former — so the batch path must too (n
+    # calls, negligible cost).
     mu = np.zeros(n)
     for s in sorted({int(i) for i, j in pairs} | {int(j) for i, j in pairs}):
         mu[s] = returns[:, s].mean()
-    centred = ws.get("pearson.centred", (T, n))
-    np.subtract(returns, mu[None, :], out=centred)
+    centred = returns - mu[None, :]
 
     # Rolling per-symbol sums S1 = Σx and S2 = Σx² via the cumsum identity.
-    cum = ws.get("pearson.cum", (T + 1, n))
+    cum = np.empty((T + 1, n))
     cum[0] = 0.0
     np.cumsum(centred, axis=0, out=cum[1:])
     s1 = cum[m:] - cum[:-m]
-    sq = ws.get("pearson.sq", (T, n))
-    np.multiply(centred, centred, out=sq)
-    cum2 = ws.get("pearson.cum2", (T + 1, n))
+    cum2 = np.empty((T + 1, n))
     cum2[0] = 0.0
-    np.cumsum(sq, axis=0, out=cum2[1:])
+    np.cumsum(centred * centred, axis=0, out=cum2[1:])
     s2 = cum2[m:] - cum2[:-m]
 
     # Pair cross-moments, chunked over pairs to bound peak memory.
     n_pairs = len(pairs)
     chunk = max(1, _CHUNK_ELEMENTS // T)
-    xy = ws.get("pearson.xy", (T, min(chunk, n_pairs)))
-    cxy = ws.get("pearson.cxy", (T + 1, min(chunk, n_pairs)))
+    cxy = np.empty((T + 1, min(chunk, n_pairs)))
     n_chunks = 0
     for lo in range(0, n_pairs, chunk):
         hi = min(lo + chunk, n_pairs)
         c = hi - lo
         ii, jj = idx_i[lo:hi], idx_j[lo:hi]
-        np.multiply(centred[:, ii], centred[:, jj], out=xy[:, :c])
         cxy[0, :c] = 0.0
-        np.cumsum(xy[:, :c], axis=0, out=cxy[1:, :c])
+        np.cumsum(centred[:, ii] * centred[:, jj], axis=0, out=cxy[1:, :c])
         sxy = cxy[m:, :c] - cxy[: T + 1 - m, :c]
         out[:, lo:hi] = _corr_from_moments(
             s1[:, ii], s1[:, jj], s2[:, ii], s2[:, jj], sxy, m
@@ -216,7 +154,6 @@ def _robust_batch(
     config: MaronnaConfig | None,
     pairs: list[tuple[int, int]],
     out: np.ndarray,
-    ws: BatchWorkspace,
 ) -> int:
     """All-pairs robust/blended series into ``out``; returns chunk count.
 
@@ -225,7 +162,7 @@ def _robust_batch(
     kernels: one convergence mask over all pairs and windows at once.
     Per-window convergence freezing makes each row's result independent of
     the batch composition, so the flat-row chunking below cannot change
-    any value relative to the per-pair scalar path.
+    any value relative to ``corr_series`` on each pair.
     """
     kernel = (
         maronna_corr_batched
@@ -239,9 +176,11 @@ def _robust_batch(
         for i, j in pairs
     ]
     total_rows = n_pairs * n_win
-    chunk_rows = min(max(1, _ROBUST_CHUNK_ELEMENTS // m), total_rows)
-    bufx = ws.get("robust.bufx", (chunk_rows, m))
-    bufy = ws.get("robust.bufy", (chunk_rows, m))
+    # At least one row, so an empty pair list runs zero chunks instead of
+    # stepping ``range`` by zero.
+    chunk_rows = max(1, min(_ROBUST_CHUNK_ELEMENTS // m, total_rows))
+    bufx = np.empty((chunk_rows, m))
+    bufy = np.empty((chunk_rows, m))
     n_chunks = 0
     for lo in range(0, total_rows, chunk_rows):
         hi = min(lo + chunk_rows, total_rows)
@@ -274,8 +213,6 @@ def batch_pair_series(
     config: MaronnaConfig | None = None,
     pairs: list[tuple[int, int]] | None = None,
     obs: Obs | None = None,
-    workspace: BatchWorkspace | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rolling correlation series of many pairs in one batch evaluation.
 
@@ -292,15 +229,11 @@ def batch_pair_series(
         Robust-iteration tuning for the Maronna/Combined treatments.
     pairs : list of (int, int), optional
         Symbol pairs to evaluate; defaults to all ``n·(n-1)/2`` pairs.
+        An empty list yields an empty ``(T - m + 1, 0)`` result.
     obs : Obs, optional
         Destination for ``corr.batch.*`` metrics and the ``corr.batch``
         span (which is what `repro top` and the flame table attribute the
         batch path's time to).  Disabled/absent obs costs nothing.
-    workspace : BatchWorkspace, optional
-        Preallocated scratch reused across calls; engines sweeping many
-        (day, spec) cells should pass one.
-    out : ndarray, shape (T - m + 1, len(pairs)), optional
-        Preallocated float64 output buffer.
 
     Returns
     -------
@@ -310,8 +243,7 @@ def batch_pair_series(
         (see the module docstring for why).
     """
     returns, ctype, pairs, n_win = _validate(returns, m, ctype, pairs)
-    out = _out_buffer(out, n_win, len(pairs))
-    ws = workspace if workspace is not None else BatchWorkspace()
+    out = np.empty((n_win, len(pairs)))
     record = obs is not None and obs.enabled
     span = (
         obs.trace.span(
@@ -327,36 +259,13 @@ def batch_pair_series(
     )
     with span, timer:
         if ctype is CorrelationType.PEARSON:
-            n_chunks = _pearson_batch(returns, m, pairs, out, ws)
+            n_chunks = _pearson_batch(returns, m, pairs, out)
         else:
-            n_chunks = _robust_batch(
-                returns, m, ctype, config, pairs, out, ws
-            )
+            n_chunks = _robust_batch(returns, m, ctype, config, pairs, out)
     if record:
         obs.metrics.counter("corr.batch.pairs").inc(len(pairs))
         obs.metrics.counter("corr.batch.windows").inc(len(pairs) * n_win)
         obs.metrics.counter("corr.batch.chunks").inc(n_chunks)
-    return out
-
-
-def scalar_pair_series(
-    returns: np.ndarray,
-    m: int,
-    ctype: CorrelationType | str = CorrelationType.PEARSON,
-    config: MaronnaConfig | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The scalar oracle: one :func:`corr_series` call per pair.
-
-    Same shape and semantics as :func:`batch_pair_series`; this is the
-    per-pair path the engines have always run and the reference the batch
-    backend is tested bitwise against.
-    """
-    returns, ctype, pairs, n_win = _validate(returns, m, ctype, pairs)
-    out = _out_buffer(out, n_win, len(pairs))
-    for p, (i, j) in enumerate(pairs):
-        out[:, p] = corr_series(returns[:, i], returns[:, j], m, ctype, config)
     return out
 
 
@@ -372,7 +281,7 @@ def reference_pair_series(
     For the robust measures this really does run one fixed-point iteration
     per window (batch size 1), i.e. the genuine scalar while-loop cost the
     batch path replaces; per-window convergence freezing makes its results
-    bitwise-identical to both other paths.  Pearson has no per-window
+    bitwise-identical to :func:`batch_pair_series` and ``corr_series``.  Pearson has no per-window
     scalar form in the tree (the rolling cumsum identity *is* the scalar
     path), so it delegates to :func:`repro.corr.pearson.pearson_series`.
     """
@@ -393,34 +302,3 @@ def reference_pair_series(
         for w in range(n_win):
             out[w, p] = kernel(xw[w : w + 1], yw[w : w + 1], config)[0]
     return out
-
-
-def pair_series_matrix(
-    returns: np.ndarray,
-    m: int,
-    ctype: CorrelationType | str = CorrelationType.PEARSON,
-    config: MaronnaConfig | None = None,
-    pairs: list[tuple[int, int]] | None = None,
-    backend: str = "batch",
-    obs: Obs | None = None,
-    workspace: BatchWorkspace | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Backend-dispatching entry point for all-pairs correlation series.
-
-    Parameters
-    ----------
-    backend : {"batch", "scalar"}
-        ``"batch"`` runs :func:`batch_pair_series`; ``"scalar"`` runs the
-        per-pair oracle :func:`scalar_pair_series`.  Outputs are bitwise
-        identical; only the cost profile differs.
-
-    Other parameters are as in :func:`batch_pair_series`.
-    """
-    check_backend(backend)
-    if backend == "batch":
-        return batch_pair_series(
-            returns, m, ctype, config, pairs,
-            obs=obs, workspace=workspace, out=out,
-        )
-    return scalar_pair_series(returns, m, ctype, config, pairs, out=out)

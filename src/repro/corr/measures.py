@@ -162,7 +162,6 @@ def corr_matrix_series(
     m: int,
     ctype: CorrelationType | str = CorrelationType.PEARSON,
     config: MaronnaConfig | None = None,
-    backend: str = "scalar",
 ) -> np.ndarray:
     """Series of full correlation matrices over a rolling window.
 
@@ -171,18 +170,14 @@ def corr_matrix_series(
     paper's Approach 1 stored on disk — at full scale it is the memory
     hog the paper complains about, which is the point.
 
-    ``backend`` selects how the robust/blended entries are produced:
-    ``"scalar"`` loops one pair at a time (the oracle), ``"batch"`` runs
-    the all-pairs kernel of :mod:`repro.corr.batch`; outputs are bitwise
-    identical.  The Pearson branch is already a per-interval batch over
-    all pairs (one matrix product per window) and is shared by both
-    backends.
+    The robust/blended entries come from the all-pairs kernel of
+    :mod:`repro.corr.batch` (bitwise equal to ``corr_series`` per pair);
+    the Pearson branch is one matrix product per interval.
     """
-    from repro.corr.batch import batch_pair_series, check_backend
+    from repro.corr.batch import all_pairs, batch_pair_series
 
     ctype = CorrelationType.parse(ctype)
     check_positive_int(m, "m")
-    check_backend(backend)
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2:
         raise ValueError(f"need (T, n) returns, got shape {returns.shape}")
@@ -197,18 +192,10 @@ def corr_matrix_series(
         return out
     out[:] = 0.0
     out[:, np.arange(n), np.arange(n)] = 1.0
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if backend == "batch":
-        block = batch_pair_series(returns, m, ctype, config, pairs)
-        idx_i = np.asarray([i for i, _ in pairs], dtype=np.intp)
-        idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
-        out[:, idx_i, idx_j] = block
-        out[:, idx_j, idx_i] = block
-        return out
-    # Scalar oracle: compute each pair's whole series one pair at a time
-    # (the per-pair series kernel re-uses windows efficiently).
-    for i, j in pairs:
-        series = corr_series(returns[:, i], returns[:, j], m, ctype, config)
-        out[:, i, j] = series
-        out[:, j, i] = series
+    pairs = all_pairs(n)
+    block = batch_pair_series(returns, m, ctype, config, pairs)
+    idx_i = np.asarray([i for i, _ in pairs], dtype=np.intp)
+    idx_j = np.asarray([j for _, j in pairs], dtype=np.intp)
+    out[:, idx_i, idx_j] = block
+    out[:, idx_j, idx_i] = block
     return out

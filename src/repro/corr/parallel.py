@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corr.batch import BatchWorkspace, batch_pair_series, check_backend
+from repro.corr.batch import batch_pair_series
 from repro.corr.maronna import MaronnaConfig
-from repro.corr.measures import CorrelationType, corr_matrix, corr_series
+from repro.corr.measures import CorrelationType, corr_matrix
 from repro.mpi.api import SUM, Comm
 from repro.obs import NULL_METRIC, comm_obs
 
@@ -57,23 +57,19 @@ def partition_pairs(
 class ParallelCorrelationEngine:
     """Distribute pairwise correlation work across the ranks of a Comm.
 
-    ``backend`` selects how each rank computes its pair block:
-    ``"scalar"`` is the per-pair oracle loop, ``"batch"`` drives the
-    block through :func:`repro.corr.batch.batch_pair_series`.  Results
-    are bitwise-identical across backends, rank counts and MPI backends;
-    only the cost profile differs.
+    Each rank drives its pair block through
+    :func:`repro.corr.batch.batch_pair_series`; results are
+    bitwise-identical to ``corr_series`` per pair across rank counts and
+    MPI backends.
     """
 
     def __init__(
         self,
         ctype: CorrelationType | str = CorrelationType.PEARSON,
         config: MaronnaConfig | None = None,
-        backend: str = "scalar",
     ):
         self.ctype = CorrelationType.parse(ctype)
         self.config = config
-        self.backend = check_backend(backend)
-        self._workspace = BatchWorkspace() if backend == "batch" else None
 
     def _my_pairs(self, comm: Comm, n: int) -> list[tuple[int, int]]:
         all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -124,35 +120,17 @@ class ParallelCorrelationEngine:
             obs = comm_obs(comm)
             if obs is not None and obs.enabled:
                 obs.metrics.counter("corr.parallel.pairs_local").inc(len(mine))
-            local = self._block_series(comm, returns, m, mine)
+            block = batch_pair_series(
+                returns, m, self.ctype, self.config, pairs=mine, obs=obs
+            )
+            local = {
+                pair: np.ascontiguousarray(block[:, p])
+                for p, pair in enumerate(mine)
+            }
             merged: dict[tuple[int, int], np.ndarray] = {}
             for part in comm.allgather(local):
                 merged.update(part)
             return merged
-
-    def _block_series(
-        self,
-        comm: Comm,
-        returns: np.ndarray,
-        m: int,
-        mine: list[tuple[int, int]],
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """This rank's ``{pair: series}`` block under the configured backend."""
-        if self.backend == "batch" and mine:
-            block = batch_pair_series(
-                returns, m, self.ctype, self.config, pairs=mine,
-                obs=comm_obs(comm), workspace=self._workspace,
-            )
-            return {
-                pair: np.ascontiguousarray(block[:, p])
-                for p, pair in enumerate(mine)
-            }
-        return {
-            (i, j): corr_series(
-                returns[:, i], returns[:, j], m, self.ctype, self.config
-            )
-            for i, j in mine
-        }
 
     def matrix_series(
         self, comm: Comm, returns: np.ndarray, m: int
@@ -173,13 +151,14 @@ class ParallelCorrelationEngine:
             n_win = T - m + 1
             mine = self._my_pairs(comm, n)
             partial = np.zeros((n_win, n, n))
-            if mine:
-                local = self._block_series(comm, returns, m, mine)
-                block = np.column_stack([local[pair] for pair in mine])
-                idx_i = np.asarray([i for i, _ in mine], dtype=np.intp)
-                idx_j = np.asarray([j for _, j in mine], dtype=np.intp)
-                partial[:, idx_i, idx_j] = block
-                partial[:, idx_j, idx_i] = block
+            block = batch_pair_series(
+                returns, m, self.ctype, self.config, pairs=mine,
+                obs=comm_obs(comm),
+            )
+            idx_i = np.asarray([i for i, _ in mine], dtype=np.intp)
+            idx_j = np.asarray([j for _, j in mine], dtype=np.intp)
+            partial[:, idx_i, idx_j] = block
+            partial[:, idx_j, idx_i] = block
             full = comm.allreduce(partial, op=SUM)
             full[:, np.arange(n), np.arange(n)] = 1.0
             return full

@@ -16,19 +16,19 @@ Layout:
   run a comm world (``repo.topology-epoch`` lint rule enforces this).
 - :mod:`repro.elastic.sharding` — rank-count-independent pair sharding
   (stable hash over pair ids, never ``i % size``).
-- :mod:`repro.elastic.supervisor` — the elastic epoch loop behind
-  :func:`repro.faults.run_supervised_session`.
+
+The epoch loop that drives resizes is
+:func:`repro.faults.run_supervised_session`; it reaches comm worlds only
+through :mod:`repro.elastic.world`.
 """
 
 from repro.elastic.plan import ResizePlan, ResizeRequest
 from repro.elastic.sharding import shard_pairs, stable_shard
-from repro.elastic.supervisor import run_elastic_session
 from repro.elastic.world import world_capacity
 
 __all__ = [
     "ResizePlan",
     "ResizeRequest",
-    "run_elastic_session",
     "shard_pairs",
     "stable_shard",
     "world_capacity",

@@ -2,8 +2,10 @@
 
 Layered the same way as :mod:`repro.obs`: a plan/injector pair attaches
 to the mailbox communicator through a no-op-when-detached seam, a
-supervisor wraps the Figure-1 session in epochs with checkpoint/restart,
-and degradation/retry policies configure the soft-failure behaviour.
+supervisor (:func:`run_supervised_session`, the one epoch loop) wraps the
+Figure-1 session in epochs with checkpoint/restart and applies
+:mod:`repro.elastic` pool resizes at epoch boundaries, and
+degradation/retry policies configure the soft-failure behaviour.
 """
 
 from repro.faults.heartbeat import HeartbeatHandle, HeartbeatMonitor

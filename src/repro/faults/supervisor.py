@@ -17,19 +17,49 @@ component snapshots are deep copies and the collectors re-derive their
 data deterministically, a recovered session is bitwise-identical to a
 fault-free run: that is the headline invariant the chaos suite asserts.
 
+The pool size can also change between epochs, through the same
+drain/checkpoint/rebuild/restore protocol:
+
+- **voluntary** — a :class:`~repro.elastic.plan.ResizePlan` names target
+  sizes at epoch boundaries, and a live
+  :class:`~repro.marketminer.session.SessionControl` can queue a resize
+  at any time (applied at the next rebuild, never mid-epoch);
+- **involuntary** — *crash-as-shrink*: when an epoch exhausts its
+  restart budget and the :class:`~repro.faults.DegradePolicy` allows it
+  (``shrink_on_crash``), the supervisor drops one rank and retries
+  instead of giving up, down to ``min_ranks``.
+
+Every world is built through the :mod:`repro.elastic.world` seam, and
+all pair shards are rank-count-independent, so a rescaled session is
+bitwise-identical to a fixed-size one — positions, signals, correlation
+matrices and folded domain counters alike.
+
 The chaos log collects only deterministic data (fault events, failure
 classifications by rank and exception type) so identical (plan, seed)
-runs produce identical logs on the thread and process backends.
+runs produce identical logs on the thread and process backends.  Its
+entries are ``("run", epoch, attempt, "ok", fault events)``,
+``("restart", epoch, attempt, classification)``,
+``("resize", epoch, old, new, moved)`` with the component moves, and
+``("shrink", epoch, attempt, old, new, classification)`` for a
+crash-as-shrink.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.elastic import world
+from repro.elastic.plan import ResizePlan
 from repro.faults.plan import FaultPlan
+from repro.faults.policy import DegradePolicy
+from repro.marketminer.scheduler import WorkflowRunner
+from repro.mpi.api import MpiError
+from repro.mpi.topology import placement_moves
 
 #: Exception types whose messages are deterministic by construction and
 #: therefore safe to include verbatim in the chaos log.
@@ -160,6 +190,41 @@ def _epochs(smax: int, checkpoint_every: int | None) -> list[tuple[int, int]]:
     ]
 
 
+def _driver_flight(flight_dump: str | None, event: dict) -> None:
+    """Append one driver-side elasticity event to the flight directory.
+
+    Per-rank recorders die with their world; resize decisions are made
+    by the driver *between* worlds, so they get their own JSONL stream
+    (``driver-elastic.jsonl``).  Events carry only deterministic fields.
+    """
+    if flight_dump is None:
+        return
+    os.makedirs(flight_dump, exist_ok=True)
+    path = os.path.join(flight_dump, "driver-elastic.jsonl")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(event, sort_keys=True) + "\n")
+
+
+def _validate_plan(
+    plan: ResizePlan, n_epochs: int, backend: str
+) -> dict[int, int]:
+    """Pointed up-front validation: bad plans fail before any epoch runs."""
+    if plan.max_epoch >= n_epochs:
+        raise ValueError(
+            f"resize plan names epoch {plan.max_epoch} but the session has "
+            f"only {n_epochs} epoch(s); pass a smaller checkpoint_every or "
+            f"an earlier boundary"
+        )
+    for request in plan.requests:
+        world.check_pool_size(request.size, backend)
+        if request.epoch > 0 and n_epochs < 2:
+            raise ValueError(
+                f"resize at epoch {request.epoch} needs checkpoints "
+                f"(checkpoint_every) to create that boundary"
+            )
+    return plan.by_epoch()
+
+
 def run_supervised_session(
     build: Callable[[], Any],
     size: int = 3,
@@ -175,7 +240,7 @@ def run_supervised_session(
     obs_hook=None,
     control=None,
     resize=None,
-    degrade=None,
+    degrade: DegradePolicy | None = None,
 ) -> SupervisedRun:
     """Run a Figure-1 session under supervision (and optionally chaos).
 
@@ -209,32 +274,208 @@ def run_supervised_session(
 
     ``resize`` (a :class:`~repro.elastic.ResizePlan`, a single
     :class:`~repro.elastic.ResizeRequest`, or an iterable of requests)
-    schedules voluntary pool resizes at epoch boundaries, and
+    schedules voluntary pool resizes at epoch boundaries.  It is
+    validated up front — unknown epochs, sizes below 1 and sizes above
+    the backend's capacity raise pointed ``ValueError``\\ s before
+    anything runs.  ``control`` can also queue resizes live
+    (``request_resize``); they are consumed at the next rebuild —
+    mid-epoch requests are deferred to the boundary, which is the only
+    consistent cut.
+
     ``degrade`` (a :class:`~repro.faults.DegradePolicy` with
     ``shrink_on_crash=True``) lets an epoch that exhausts its restart
-    budget shed a rank and retry instead of giving up.  The epoch loop
-    itself lives in :func:`repro.elastic.run_elastic_session`; a
-    fixed-size call is simply the elastic loop with an empty plan, and
-    produces byte-identical logs to the pre-elastic supervisor.
+    budget shed one rank and retry (down to ``degrade.min_ranks``)
+    instead of raising :class:`ChaosUnrecoverable`.
     """
-    from repro.elastic.supervisor import run_elastic_session
+    options = dict(backend_options or {})
+    resize_plan = ResizePlan.of(resize)
+    world.check_pool_size(size, backend)
+    smax = _session_smax(build())
+    epochs = _epochs(smax, checkpoint_every)
+    plan_targets = _validate_plan(resize_plan, len(epochs), backend)
+    metrics = obs.metrics if obs is not None and obs.enabled else None
 
-    return run_elastic_session(
-        build,
-        size=size,
-        backend=backend,
-        plan=plan,
-        checkpoint_every=checkpoint_every,
-        max_restarts=max_restarts,
-        collect_stats=collect_stats,
-        obs_enabled=obs_enabled,
-        obs=obs,
-        backend_options=backend_options,
-        flight_dump=flight_dump,
-        obs_hook=obs_hook,
-        control=control,
-        resize=resize,
-        degrade=degrade,
+    log: list[tuple] = []
+    obs_reports: list[dict] = []
+    pool_sizes: list[int] = []
+    resizes: list[tuple[int, int, int]] = []
+    checkpoint: dict[str, Any] | None = None
+    pool = size
+    attempt = 0
+    restarts = 0
+    checkpoints = 0
+    if control is not None:
+        control.note_pool(pool)
+
+    def apply_resize(epoch: int, target: int, runner: WorkflowRunner) -> None:
+        nonlocal pool
+        moved = placement_moves(
+            runner.rank_map(pool), runner.rank_map(target)
+        )
+        log.append(("resize", epoch, pool, target, moved))
+        resizes.append((epoch, pool, target))
+        _driver_flight(
+            flight_dump,
+            {
+                "event": "resize", "epoch": epoch,
+                "old": pool, "new": target,
+                "moved": [list(m) for m in moved],
+            },
+        )
+        if metrics is not None:
+            metrics.counter("recovery.resizes").inc()
+        old = pool
+        pool = target
+        if control is not None:
+            control.resize_applied(epoch, old, pool)
+
+    for epoch, (start, stop) in enumerate(epochs):
+        final = stop == smax
+        epoch_failures = 0
+        epoch_started = False
+        while True:
+            if control is not None:
+                control.gate(epoch)
+            # Voluntary resizes land here — after the gate (so commands
+            # drained while parked in pause are visible) and before the
+            # build, which is the teardown/rebuild boundary.  The planned
+            # target applies once, on the epoch's first attempt; live
+            # requests apply at whichever rebuild comes next.
+            target = None
+            if not epoch_started:
+                target = plan_targets.get(epoch)
+            epoch_started = True
+            if control is not None:
+                requested = control.take_resize()
+                if requested is not None:
+                    world.check_pool_size(requested, backend)
+                    target = requested
+            workflow = build()
+            if checkpoint is not None:
+                for name, state in checkpoint.items():
+                    workflow.component(name).restore(state)
+            for name, comp in _session_sources(workflow).items():
+                if len(epochs) > 1 or start > 0:
+                    if not hasattr(comp, "set_interval_range"):
+                        raise TypeError(
+                            f"source {name!r} is not resumable "
+                            f"(no set_interval_range); cannot checkpoint"
+                        )
+                    comp.set_interval_range(start, stop)
+            runner = WorkflowRunner(workflow)
+            if target is not None and target != pool:
+                apply_resize(epoch, target, runner)
+            this_attempt = attempt
+            attempt += 1
+
+            def spmd(comm, _runner=runner, _attempt=this_attempt,
+                     _pause=not final):
+                return _runner.run(
+                    comm,
+                    collect_stats=collect_stats,
+                    obs_enabled=obs_enabled,
+                    pause=_pause,
+                    fault_plan=plan,
+                    fault_attempt=_attempt,
+                    flight_dump=flight_dump,
+                    obs_hook=obs_hook,
+                )
+
+            try:
+                results = world.run_epoch(spmd, pool, backend, options)[0]
+            except MpiError as exc:
+                restarts += 1
+                epoch_failures += 1
+                classification = _classify_failure(exc)
+                log.append(("restart", epoch, this_attempt, classification))
+                if control is not None:
+                    control.note_restart(epoch, this_attempt)
+                if metrics is not None:
+                    metrics.counter("recovery.restarts").inc()
+                if epoch_failures > max_restarts:
+                    floor = (
+                        max(1, degrade.min_ranks)
+                        if degrade is not None
+                        else pool
+                    )
+                    if (
+                        degrade is not None
+                        and degrade.shrink_on_crash
+                        and pool > floor
+                    ):
+                        new = pool - 1
+                        log.append(
+                            ("shrink", epoch, this_attempt, pool, new,
+                             classification)
+                        )
+                        resizes.append((epoch, pool, new))
+                        _driver_flight(
+                            flight_dump,
+                            {
+                                "event": "shrink", "epoch": epoch,
+                                "attempt": this_attempt,
+                                "old": pool, "new": new,
+                                "failure": [list(c) for c in classification],
+                            },
+                        )
+                        if metrics is not None:
+                            metrics.counter("recovery.shrinks").inc()
+                        old = pool
+                        pool = new
+                        epoch_failures = 0
+                        if control is not None:
+                            control.resize_applied(epoch, old, new)
+                        continue
+                    raise ChaosUnrecoverable(
+                        f"epoch {epoch} (intervals [{start}, {stop})) "
+                        f"failed {epoch_failures} times at pool size {pool}; "
+                        f"giving up (last failure: "
+                        f"{_failure_summary(classification)})",
+                        failure=classification,
+                        attempts=attempt,
+                        restarts=restarts,
+                    ) from exc
+                continue
+
+            fault_events = results.pop("_faults", None)
+            log.append(
+                (
+                    "run", epoch, this_attempt, "ok",
+                    _freeze_fault_events(fault_events),
+                )
+            )
+            pool_sizes.append(pool)
+            if "_obs" in results:
+                obs_reports.append(results["_obs"])
+            if final:
+                return SupervisedRun(
+                    results=results,
+                    log=tuple(log),
+                    attempts=attempt,
+                    restarts=restarts,
+                    checkpoints=checkpoints,
+                    obs_reports=tuple(obs_reports),
+                    pool_sizes=tuple(pool_sizes),
+                    resizes=tuple(resizes),
+                )
+            checkpoint = results.pop("_snapshots")
+            checkpoints += 1
+            if control is not None:
+                control.on_checkpoint(epoch, checkpoint)
+            if metrics is not None:
+                metrics.counter("recovery.checkpoints").inc()
+            break
+
+    raise AssertionError("unreachable: the final epoch returns")
+
+
+def _failure_summary(classification: tuple) -> str:
+    """Compact "rank N: ExcType" rendering for error messages."""
+    if not classification:
+        return "unknown"
+    return "; ".join(
+        f"rank {rank}: {exc_type}"
+        for rank, exc_type, _detail in classification
     )
 
 

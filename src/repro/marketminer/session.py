@@ -244,7 +244,7 @@ class SessionControl:
 
     Elasticity rides the same seam: :meth:`request_resize` queues a
     target pool size (latest request wins — a single pending slot, not a
-    queue) which the elastic supervisor consumes at its next rebuild via
+    queue) which the session supervisor consumes at its next rebuild via
     :meth:`take_resize`; a request landing mid-epoch is therefore
     *deferred to the boundary*, never applied in place.  The supervisor
     reports back through :meth:`resize_applied` and

@@ -177,27 +177,27 @@ class TestEquivalence:
 
 
 class TestBatchBackendEquivalence:
-    """corr_backend="batch" must be bitwise-invisible in every engine."""
+    """Every engine's batch correlation path reproduces the unshared
+    per-cell ``corr_series`` path bitwise: shared-cache sequential,
+    matrix series, and distributed on both MPI backends."""
 
     @pytest.fixture(scope="class")
     def scalar_store(self, provider, small_setup):
         pairs, grid, days = small_setup
-        return SequentialBacktester(provider, share_correlation=True).run(
+        return SequentialBacktester(provider, share_correlation=False).run(
             pairs, grid, days
         )
 
     def test_sequential_batch(self, provider, small_setup, scalar_store):
         pairs, grid, days = small_setup
-        got = SequentialBacktester(
-            provider, share_correlation=True, corr_backend="batch"
-        ).run(pairs, grid, days)
+        got = SequentialBacktester(provider, share_correlation=True).run(
+            pairs, grid, days
+        )
         assert got == scalar_store
 
     def test_matrix_series_batch(self, provider, small_setup, scalar_store):
         pairs, grid, days = small_setup
-        got = MatrixSeriesBacktester(provider, corr_backend="batch").run(
-            pairs, grid, days
-        )
+        got = MatrixSeriesBacktester(provider).run(pairs, grid, days)
         assert got == scalar_store
 
     @pytest.mark.parametrize("mpi_backend", ["thread", "process"])
@@ -207,19 +207,9 @@ class TestBatchBackendEquivalence:
         pairs, grid, days = small_setup
 
         def spmd(comm):
-            return DistributedBacktester(provider, corr_backend="batch").run(
+            return DistributedBacktester(provider).run(
                 comm, pairs, grid, days
             )
 
         results = mpi.run_spmd(spmd, size=3, backend=mpi_backend)
         assert all(r == scalar_store for r in results)
-
-    def test_engines_reject_unknown_backend(self, provider):
-        with pytest.raises(ValueError, match="backend"):
-            SequentialBacktester(
-                provider, share_correlation=True, corr_backend="vector"
-            )
-        with pytest.raises(ValueError, match="backend"):
-            MatrixSeriesBacktester(provider, corr_backend="vector")
-        with pytest.raises(ValueError, match="backend"):
-            DistributedBacktester(provider, corr_backend="vector")

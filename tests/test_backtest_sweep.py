@@ -4,6 +4,7 @@ import pytest
 
 from repro import mpi
 from repro.backtest.distributed import DistributedBacktester
+from repro.backtest.runner import SequentialBacktester
 from repro.backtest.sweep import SweepConfig, run_sweep
 from repro.corr.measures import CorrelationType
 from repro.strategy.costs import execution_salt
@@ -32,7 +33,6 @@ class TestSweepConfig:
             {"n_days": 0},
             {"engine": "quantum"},
             {"ranks": 0},
-            {"corr_backend": "simd"},
         ],
     )
     def test_validation(self, kwargs):
@@ -83,17 +83,21 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("engine", ["sequential", "distributed"])
     def test_batch_backend_equivalent(self, small_sweep, engine):
-        store, _ = small_sweep
+        """Both engines' batch correlation paths equal the unshared
+        per-cell ``corr_series`` backtest of the same study."""
+        _, grid = small_sweep
         cfg = SweepConfig(
             n_symbols=6,
             n_days=2,
             n_levels=2,
             trading_seconds=23_400 // 4,
             engine=engine,
-            corr_backend="batch",
         )
-        store2, _ = run_sweep(cfg)
-        assert store == store2
+        store, _ = run_sweep(cfg)
+        per_cell = SequentialBacktester(
+            cfg.build_provider(), share_correlation=False
+        ).run(list(cfg.build_universe().pairs()), grid, [0, 1])
+        assert store == per_cell
 
     def test_deterministic_across_rank_counts(self):
         base = dict(n_symbols=4, n_days=1, n_levels=1, trading_seconds=2400)

@@ -66,17 +66,6 @@ class TestSweep:
         ) == 0
         assert "Table III" in capsys.readouterr().out
 
-    def test_corr_backend_flag(self, capsys):
-        args = build_parser().parse_args(["sweep"])
-        assert args.corr_backend == "scalar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--corr-backend", "simd"])
-        assert main(
-            ["sweep", *FAST, "--days", "1", "--levels", "1", "--ranks", "1",
-             "--corr-backend", "batch"]
-        ) == 0
-        assert "Table III" in capsys.readouterr().out
-
 
 class TestPipeline:
     def test_streams_session(self, capsys):

@@ -1,9 +1,9 @@
-"""Tests for the all-pairs batch correlation kernels and the backend seam.
+"""Tests for the all-pairs batch correlation kernel.
 
-The load-bearing invariant: ``backend="batch"`` is bitwise-identical to the
-per-pair scalar oracle (and, for the robust measures, to the genuine
-per-window scalar loop) — every equality below is ``np.array_equal``, never
-``allclose``.
+The load-bearing invariant: every column of ``batch_pair_series`` is
+bitwise-identical to ``corr_series`` on that pair (and to the genuine
+per-window scalar loop of ``reference_pair_series``) — every equality
+below is ``np.array_equal``, never ``allclose``.
 """
 
 import json
@@ -14,16 +14,7 @@ import pytest
 from repro import mpi
 from repro.backtest.data import BarProvider
 from repro.backtest.runner import SequentialBacktester
-from repro.corr.batch import (
-    BACKENDS,
-    BatchWorkspace,
-    all_pairs,
-    batch_pair_series,
-    check_backend,
-    pair_series_matrix,
-    reference_pair_series,
-    scalar_pair_series,
-)
+from repro.corr.batch import all_pairs, batch_pair_series, reference_pair_series
 from repro.corr.maronna import MaronnaConfig
 from repro.corr.measures import corr_matrix_series, corr_series
 from repro.corr.parallel import ParallelCorrelationEngine
@@ -35,6 +26,15 @@ from repro.taq.universe import default_universe
 from repro.util.timeutil import TimeGrid
 
 CTYPES = ("pearson", "maronna", "combined")
+
+
+def per_pair_series(returns, m, ctype, config=None):
+    """``corr_series`` on every pair, stacked into ``(n_win, n_pairs)``."""
+    pairs = all_pairs(returns.shape[1])
+    out = np.empty((returns.shape[0] - m + 1, len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        out[:, p] = corr_series(returns[:, i], returns[:, j], m, ctype, config)
+    return out
 
 
 def random_returns(rng, T, n, outlier_prob=0.02, constant_col=False):
@@ -52,23 +52,10 @@ class TestHelpers:
         assert all_pairs(3) == [(0, 1), (0, 2), (1, 2)]
         assert len(all_pairs(61)) == 1830
 
-    def test_check_backend(self):
-        for b in BACKENDS:
-            assert check_backend(b) == b
-        with pytest.raises(ValueError, match="backend"):
-            check_backend("gpu")
-
-    def test_workspace_reuse_and_nbytes(self):
-        ws = BatchWorkspace()
-        a = ws.get("x", (4, 5))
-        assert ws.get("x", (4, 5)) is a
-        b = ws.get("x", (6, 5))
-        assert b is not a and b.shape == (6, 5)
-        assert ws.nbytes == b.nbytes
-
 
 class TestPropertyBatchEqualsScalar:
-    """Random shapes, windows and data: batch == scalar to the last ulp."""
+    """Random shapes, windows and data: batch == ``corr_series`` per pair
+    and == the per-window reference, to the last ulp."""
 
     @pytest.mark.parametrize("trial", range(8))
     def test_random_universe(self, trial):
@@ -80,11 +67,18 @@ class TestPropertyBatchEqualsScalar:
             rng, T, n, constant_col=bool(trial % 3 == 0)
         )
         ctype = CTYPES[trial % 3]
-        ws = BatchWorkspace()
-        batch = batch_pair_series(returns, m, ctype, workspace=ws)
-        scalar = scalar_pair_series(returns, m, ctype)
+        batch = batch_pair_series(returns, m, ctype)
         assert batch.shape == (T - m + 1, n * (n - 1) // 2)
-        np.testing.assert_array_equal(batch, scalar)
+        np.testing.assert_array_equal(batch, per_pair_series(returns, m, ctype))
+        np.testing.assert_array_equal(
+            batch, reference_pair_series(returns, m, ctype)
+        )
+        # Empty pair lists and a one-symbol universe: (n_win, 0), no error.
+        for empty in (
+            batch_pair_series(returns, m, ctype, pairs=[]),
+            batch_pair_series(returns[:, :1], m, ctype),
+        ):
+            assert empty.shape == (T - m + 1, 0)
 
     @pytest.mark.parametrize("ctype", ["maronna", "combined"])
     def test_matches_per_window_reference(self, ctype):
@@ -99,18 +93,15 @@ class TestPropertyBatchEqualsScalar:
         returns = random_returns(rng, 60, 5)
         np.testing.assert_array_equal(
             reference_pair_series(returns, 20, "pearson"),
-            scalar_pair_series(returns, 20, "pearson"),
+            per_pair_series(returns, 20, "pearson"),
         )
 
-    def test_subset_pairs_and_out_buffer(self):
+    def test_subset_pairs(self):
         rng = np.random.default_rng(9)
         returns = random_returns(rng, 80, 6)
         pairs = [(0, 5), (3, 1), (2, 4)]
-        out = np.empty((80 - 15 + 1, 3))
-        got = pair_series_matrix(
-            returns, 15, "combined", pairs=pairs, out=out, backend="batch"
-        )
-        assert got is out
+        got = batch_pair_series(returns, 15, "combined", pairs=pairs)
+        assert got.shape == (80 - 15 + 1, 3)
         for p, (i, j) in enumerate(pairs):
             np.testing.assert_array_equal(
                 got[:, p], corr_series(returns[:, i], returns[:, j], 15, "combined")
@@ -165,10 +156,10 @@ class TestMaronnaConvergenceMask:
         batch_loose = batch_pair_series(returns, m, "maronna", loose)
         # The cap genuinely bit somewhere on the outlier pair (column 0)...
         assert not np.array_equal(batch_capped[:, 0], batch_loose[:, 0])
-        # ...yet capped results still match scalar and per-window paths
+        # ...yet capped results still match per-pair and per-window paths
         # bitwise and stay valid correlations.
         np.testing.assert_array_equal(
-            batch_capped, scalar_pair_series(returns, m, "maronna", capped)
+            batch_capped, per_pair_series(returns, m, "maronna", capped)
         )
         np.testing.assert_array_equal(
             batch_capped, reference_pair_series(returns, m, "maronna", capped)
@@ -213,31 +204,20 @@ class TestValidation:
             batch_pair_series(np.zeros(10), 5, "pearson")
         with pytest.raises(ValueError, match="at least"):
             batch_pair_series(np.zeros((4, 3)), 5, "pearson")
-        with pytest.raises(ValueError, match="out must be"):
-            batch_pair_series(
-                np.zeros((30, 3)), 10, "pearson", out=np.zeros((2, 2))
-            )
-
-    def test_sequential_batch_requires_sharing(self, small_market, small_grid):
-        provider = BarProvider(small_market, small_grid)
-        with pytest.raises(ValueError, match="share_correlation"):
-            SequentialBacktester(
-                provider, share_correlation=False, corr_backend="batch"
-            )
 
 
 class TestMatrixSeriesBackend:
     @pytest.mark.parametrize("ctype", ["maronna", "combined"])
     def test_batch_equals_scalar(self, correlated_returns, ctype):
+        """Every off-diagonal entry of the robust matrix series is the
+        pair's ``corr_series``; the diagonal is exactly 1."""
         r = correlated_returns[:50, :4]
-        np.testing.assert_array_equal(
-            corr_matrix_series(r, 20, ctype, backend="batch"),
-            corr_matrix_series(r, 20, ctype, backend="scalar"),
-        )
-
-    def test_rejects_unknown_backend(self, correlated_returns):
-        with pytest.raises(ValueError, match="backend"):
-            corr_matrix_series(correlated_returns[:50], 20, backend="simd")
+        got = corr_matrix_series(r, 20, ctype)
+        for i, j in all_pairs(4):
+            series = corr_series(r[:, i], r[:, j], 20, ctype)
+            np.testing.assert_array_equal(got[:, i, j], series)
+            np.testing.assert_array_equal(got[:, j, i], series)
+        assert (got[:, np.arange(4), np.arange(4)] == 1.0).all()
 
 
 class TestParallelEngineBackend:
@@ -249,7 +229,7 @@ class TestParallelEngineBackend:
         pairs = [(0, 1), (2, 3), (1, 5), (0, 4), (3, 5)]
 
         def prog(comm):
-            return ParallelCorrelationEngine("combined", backend="batch").pair_series(
+            return ParallelCorrelationEngine("combined").pair_series(
                 comm, r, 25, pairs
             )
 
@@ -265,7 +245,7 @@ class TestParallelEngineBackend:
         r = correlated_returns[:50, :4]
 
         def prog(comm):
-            return ParallelCorrelationEngine("maronna", backend="batch").matrix_series(
+            return ParallelCorrelationEngine("maronna").matrix_series(
                 comm, r, 20
             )
 
@@ -274,16 +254,12 @@ class TestParallelEngineBackend:
         np.testing.assert_array_equal(results[0], expected)
         np.testing.assert_array_equal(results[1], expected)
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelCorrelationEngine("pearson", backend="simd")
-
 
 class TestStoreFedBatchSession:
     def test_store_fed_batch_equals_in_memory_scalar(self, tmp_path):
-        """The full seam: a store-backed provider (zero-copy memmap reader)
-        feeding the batch backend must reproduce the in-memory scalar
-        engine's results exactly."""
+        """A store-backed provider (zero-copy memmap reader) feeding the
+        shared batch cache must reproduce the in-memory per-cell
+        ``corr_series`` engine's results exactly."""
         from repro.store import StoreQuoteSource, StoreReader, ingest_synthetic
 
         cfg = SyntheticMarketConfig(trading_seconds=3600, quote_rate=0.8)
@@ -298,13 +274,9 @@ class TestStoreFedBatchSession:
 
         source = StoreQuoteSource(StoreReader(tmp_path))
         store_fed = SequentialBacktester(
-            BarProvider(source, grid_t),
-            share_correlation=True,
-            corr_backend="batch",
+            BarProvider(source, grid_t), share_correlation=True
         ).run(pairs, grid, days)
         in_memory = SequentialBacktester(
-            BarProvider(market, grid_t),
-            share_correlation=True,
-            corr_backend="scalar",
+            BarProvider(market, grid_t), share_correlation=False
         ).run(pairs, grid, days)
         assert store_fed == in_memory

@@ -256,6 +256,36 @@ class TestElasticResize:
         assert session_results_equal(fixed.results, elastic.results)
 
 
+class TestEpochSeam:
+    """The supervisor launches every epoch attempt — first runs,
+    restarts and resized rebuilds alike — through
+    ``repro.elastic.world.run_epoch``, looked up on the module."""
+
+    def test_every_attempt_goes_through_run_epoch(self, monkeypatch, fixed_run):
+        import repro.elastic.world as world
+
+        launched = []
+        real = world.run_epoch
+
+        def counting(spmd, size, backend, options):
+            launched.append(size)
+            return real(spmd, size, backend, options)
+
+        monkeypatch.setattr(world, "run_epoch", counting)
+        run = run_supervised_session(
+            build, size=2, checkpoint_every=20,
+            plan=FaultPlan(
+                "once", crashes=(RankCrash(rank=1, at_op=30, attempt=0),)
+            ),
+            resize=ResizeRequest(1, 3),
+            backend_options=OPTIONS,
+        )
+        assert run.restarts == 1
+        assert len(launched) == run.attempts
+        assert set(launched) == {2, 3}
+        assert session_results_equal(fixed_run.results, run.results)
+
+
 class TestControlRequestedResize:
     """A resize requested mid-epoch (through ``SessionControl``) is
     deferred to the next epoch boundary, then applied exactly once."""
